@@ -1,7 +1,8 @@
 //! The kernel phase: the seven sequential kernels over a graph suite, their
 //! output checks, the traced repetition and the counted runs.
 
-use crate::metrics::{Tally, KERNELS};
+use crate::calib::{Probe, PROBE_REF_S};
+use crate::metrics::{median, Tally, KERNELS};
 use crate::trace::{Layer, Tracer};
 use gp_core::api::{run_kernel, Backend, Kernel, KernelOutput, KernelSpec, Strategy, Variant};
 use gp_core::coloring::{count_colors, verify_coloring};
@@ -178,29 +179,54 @@ fn cross_check(gi: usize, first: &[Option<KernelOutput>], tally: &mut Tally) {
     }
 }
 
-/// Timed samples of the untraced phase.
+/// Timed samples of the untraced phase, each between two host-speed probes.
 #[derive(Debug)]
 pub struct Timed {
     /// Seconds per sample, `[kernel][graph][repetition]`.
     pub secs: Vec<Vec<Vec<f64>>>,
-    /// Wall seconds of each whole repetition (all kernels, all graphs).
+    /// Each sample over the mean of the probe times just before and just
+    /// after it, same shape.
+    pub ratio: Vec<Vec<Vec<f64>>>,
+    /// Every probe time of the run, in order.
+    pub probes: Vec<f64>,
+    /// Wall seconds of each whole repetition (all kernels, all graphs,
+    /// their checks), probes excluded.
     pub rep_secs: Vec<f64>,
+    probe: Probe,
 }
 
 impl Timed {
     pub fn new(graphs: usize) -> Timed {
         Timed {
             secs: vec![vec![Vec::new(); graphs]; KERNELS.len()],
+            ratio: vec![vec![Vec::new(); graphs]; KERNELS.len()],
+            probes: Vec::new(),
             rep_secs: Vec::new(),
+            probe: Probe::new(),
         }
     }
 
-    /// A kernel's time over the suite: the sum of its per-graph medians.
+    /// A kernel's time over the suite, as the end-to-end metric reports it:
+    /// the sum over graphs of the median sample-to-probe ratio, in seconds
+    /// of a host whose probe takes [`PROBE_REF_S`].
     pub fn suite_secs(&self, k: usize) -> f64 {
-        self.secs[k].iter().map(|s| crate::metrics::median(s)).sum()
+        PROBE_REF_S * self.ratio[k].iter().map(|s| median(s)).sum::<f64>()
     }
 
-    /// Runs every kernel once on every graph, timing each run.
+    /// A kernel's wall time over the suite: the sum of its per-graph
+    /// median samples, as this host ran them.
+    pub fn wall_secs(&self, k: usize) -> f64 {
+        self.secs[k].iter().map(|s| median(s)).sum()
+    }
+
+    fn probe(&mut self) -> f64 {
+        let p = self.probe.time();
+        self.probes.push(p);
+        p
+    }
+
+    /// Runs every kernel once on every graph, timing each run, with a probe
+    /// before the first run and after every run.
     pub fn rep(
         &mut self,
         suite: &[Csr],
@@ -209,6 +235,8 @@ impl Timed {
         tally: &mut Tally,
     ) {
         let rep_start = Instant::now();
+        let mut before = self.probe();
+        let mut probe_secs = before;
         for (gi, g) in suite.iter().enumerate() {
             let mut first: Vec<Option<KernelOutput>> = vec![None; specs.len()];
             for (k, spec) in specs.iter().enumerate() {
@@ -218,12 +246,18 @@ impl Timed {
                     spec,
                     &mut NoopRecorder,
                 ));
-                self.secs[k][gi].push(start.elapsed().as_secs_f64());
+                let secs = start.elapsed().as_secs_f64();
+                let after = self.probe();
+                probe_secs += after;
+                self.secs[k][gi].push(secs);
+                self.ratio[k][gi].push(secs / ((before + after) / 2.0));
+                before = after;
                 outputs.check(g, k, gi, out, &mut first, tally);
             }
             cross_check(gi, &first, tally);
         }
-        self.rep_secs.push(rep_start.elapsed().as_secs_f64());
+        self.rep_secs
+            .push(rep_start.elapsed().as_secs_f64() - probe_secs);
     }
 }
 

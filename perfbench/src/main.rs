@@ -12,6 +12,7 @@
 //! a readable report. See `perfbench/README.md` for the workloads and
 //! metrics.
 
+mod calib;
 mod host;
 mod kernels;
 mod metrics;
@@ -231,10 +232,22 @@ fn run(opts: &Opts, sizes: &Sizes) -> Result<Outcome, String> {
     let (p90, p90_beyond) = percentile(&seg.read_ms, 0.9);
     let (up50, up50_beyond) = percentile(&seg.update_ms, 0.5);
     report.push(format!(
-        "kernel phase: {} repetitions over {} graphs, median repetition {:.4} s",
+        "kernel phase: {} repetitions over {} graphs, median repetition {:.4} s; {} probes, median {:.4} ms, fastest {:.4} ms",
         timed.rep_secs.len(),
         suite.len(),
-        median(&timed.rep_secs)
+        median(&timed.rep_secs),
+        timed.probes.len(),
+        1e3 * median(&timed.probes),
+        1e3 * timed.probes.iter().copied().fold(f64::INFINITY, f64::min)
+    ));
+    let wall: Vec<String> = KERNELS
+        .iter()
+        .enumerate()
+        .map(|(k, name)| format!("{name} {:.4}", timed.wall_secs(k)))
+        .collect();
+    report.push(format!(
+        "kernel wall seconds (sum of per-graph medians, unscaled): {}",
+        wall.join(", ")
     ));
     report.push(format!(
         "serve phase: {:.2} s, {} run frames (p50 {p50:.4} ms with {p50_beyond} beyond, p90 {p90:.4} ms with {p90_beyond} beyond), {} update frames (p50 {up50:.4} ms with {up50_beyond} beyond)",
@@ -256,6 +269,7 @@ fn run(opts: &Opts, sizes: &Sizes) -> Result<Outcome, String> {
     });
 
     m.set("setup_s", median(&setup_secs));
+    m.set("host.probe_ms", 1e3 * median(&timed.probes));
     for (k, name) in KERNELS.iter().enumerate() {
         m.set(format!("{name}_s"), timed.suite_secs(k));
     }

@@ -107,6 +107,7 @@ pub fn per_layer() -> Vec<(String, &'static str)> {
         ("trace.unattributed_s", "s"),
         ("trace.overhead_frac", "ratio"),
         ("trace.serve_overhead_frac", "ratio"),
+        ("host.probe_ms", "ms"),
     ] {
         m.push((n.to_string(), u));
     }
