@@ -32,22 +32,24 @@ fn bench_reduce_scatter(c: &mut Criterion) {
                     let mut acc = vec![0f32; acc_len];
                     match gp_core::backends::engine() {
                         Engine::Native(s) => b.iter(|| {
-                            let vals = s.splat_f32(1.0);
-                            for a in idx {
-                                let iv = s.from_array_i32(*a);
-                                unsafe {
-                                    reduce_scatter(&s, strategy, &mut acc, iv, vals, Mask16::ALL)
-                                };
-                            }
+                            s.vectorize(|| {
+                                let vals = s.splat_f32(1.0);
+                                for a in idx {
+                                    let iv = s.from_array_i32(*a);
+                                    let (acc, m) = (&mut acc, Mask16::ALL);
+                                    unsafe { reduce_scatter(&s, strategy, acc, iv, vals, m) };
+                                }
+                            })
                         }),
                         Engine::Emulated(s) => b.iter(|| {
-                            let vals = s.splat_f32(1.0);
-                            for a in idx {
-                                let iv = s.from_array_i32(*a);
-                                unsafe {
-                                    reduce_scatter(&s, strategy, &mut acc, iv, vals, Mask16::ALL)
-                                };
-                            }
+                            s.vectorize(|| {
+                                let vals = s.splat_f32(1.0);
+                                for a in idx {
+                                    let iv = s.from_array_i32(*a);
+                                    let (acc, m) = (&mut acc, Mask16::ALL);
+                                    unsafe { reduce_scatter(&s, strategy, acc, iv, vals, m) };
+                                }
+                            })
                         }),
                     }
                 },

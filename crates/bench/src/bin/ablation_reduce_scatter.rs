@@ -38,12 +38,14 @@ fn run_batches<S: Simd>(
     batches: &[[i32; LANES]],
     acc: &mut [f32],
 ) {
-    let vals = s.splat_f32(1.0);
-    for idx in batches {
-        let iv = s.from_array_i32(*idx);
-        // SAFETY: indices were drawn in 0..acc.len().
-        unsafe { reduce_scatter(s, strategy, acc, iv, vals, Mask16::ALL) };
-    }
+    s.vectorize(|| {
+        let vals = s.splat_f32(1.0);
+        for idx in batches {
+            let iv = s.from_array_i32(*idx);
+            // SAFETY: indices were drawn in 0..acc.len().
+            unsafe { reduce_scatter(s, strategy, acc, iv, vals, Mask16::ALL) };
+        }
+    })
 }
 
 fn main() {

@@ -55,27 +55,29 @@ pub fn affinity_scalar(data: &mut MicrobenchData) {
 /// Vector affinity pass: load 16 neighbors + weights, gather communities,
 /// gather affinities, add, scatter — the paper's exact op sequence.
 pub fn affinity_vector<S: Simd>(s: &S, data: &mut MicrobenchData) {
-    let n = data.neighbors.len();
-    let mut off = 0;
-    while off + LANES <= n {
-        let nbrs = s.load_i32(&data.neighbors[off..]);
-        let wts = s.load_f32(&data.weights[off..]);
-        // SAFETY: neighbor ids < communities.len(); communities are the
-        // identity so gathered ids < affinity.len().
-        let cs = unsafe { s.gather_i32(&data.communities, nbrs, Mask16::ALL, s.splat_i32(0)) };
-        let cur = unsafe { s.gather_f32(&data.affinity, cs, Mask16::ALL, s.splat_f32(0.0)) };
-        let upd = s.add_f32(cur, wts);
-        unsafe { s.scatter_f32(&mut data.affinity, cs, upd, Mask16::ALL) };
-        off += LANES;
-    }
-    // Tail (degree is a multiple of 16 in the paper's setup, but stay
-    // general).
-    while off < n {
-        let v = data.neighbors[off] as usize;
-        let c = data.communities[v] as usize;
-        data.affinity[c] += data.weights[off];
-        off += 1;
-    }
+    s.vectorize(|| {
+        let n = data.neighbors.len();
+        let mut off = 0;
+        while off + LANES <= n {
+            let nbrs = s.load_i32(&data.neighbors[off..]);
+            let wts = s.load_f32(&data.weights[off..]);
+            // SAFETY: neighbor ids < communities.len(); communities are the
+            // identity so gathered ids < affinity.len().
+            let cs = unsafe { s.gather_i32(&data.communities, nbrs, Mask16::ALL, s.splat_i32(0)) };
+            let cur = unsafe { s.gather_f32(&data.affinity, cs, Mask16::ALL, s.splat_f32(0.0)) };
+            let upd = s.add_f32(cur, wts);
+            unsafe { s.scatter_f32(&mut data.affinity, cs, upd, Mask16::ALL) };
+            off += LANES;
+        }
+        // Tail (degree is a multiple of 16 in the paper's setup, but stay
+        // general).
+        while off < n {
+            let v = data.neighbors[off] as usize;
+            let c = data.communities[v] as usize;
+            data.affinity[c] += data.weights[off];
+            off += 1;
+        }
+    })
 }
 
 #[cfg(test)]

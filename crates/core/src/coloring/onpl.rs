@@ -67,43 +67,45 @@ fn assign_one_onpl<S: Simd>(
     v: u32,
     ws: &mut VecWorkspace,
 ) -> u32 {
-    ws.stamp = ws.stamp.wrapping_add(1);
-    if ws.stamp == 0 {
-        ws.forbidden.fill(0);
-        ws.stamp = 1;
-    }
-    let stamp_v = s.splat_i32(ws.stamp);
-    let self_v = s.splat_i32(v as i32);
-    let colors_view = colors_as_i32(colors);
-
-    let neighbors = as_i32(g.neighbors(v));
-    let mut off = 0;
-    while off < neighbors.len() {
-        let chunk = &neighbors[off..];
-        let (nbrs, mask) = s.load_tail_i32(chunk);
-        // Self-loops never forbid a color.
-        let mask = mask.and(s.cmpneq_i32(nbrs, self_v));
-        // SAFETY: neighbor ids are < |V| = colors.len() (CSR invariant).
-        let cols = unsafe { s.gather_i32(colors_view, nbrs, mask, s.splat_i32(0)) };
-        // SAFETY: colors are < max_degree + 2 <= forbidden.len().
-        unsafe { s.scatter_i32(&mut ws.forbidden, cols, stamp_v, mask) };
-        off += LANES;
-    }
-
-    // Vectorized first-free-color scan starting at color 1.
-    let mut base = 1usize;
-    loop {
-        let window = s.load_i32(&ws.forbidden[base..]);
-        let taken = s.cmpeq_i32(window, stamp_v);
-        if let Some(lane) = taken.not().first_set() {
-            return (base + lane) as u32;
+    s.vectorize(|| {
+        ws.stamp = ws.stamp.wrapping_add(1);
+        if ws.stamp == 0 {
+            ws.forbidden.fill(0);
+            ws.stamp = 1;
         }
-        base += LANES;
-        debug_assert!(
-            base + LANES <= ws.forbidden.len(),
-            "free-color scan overran FORBIDDEN; degree bound violated"
-        );
-    }
+        let stamp_v = s.splat_i32(ws.stamp);
+        let self_v = s.splat_i32(v as i32);
+        let colors_view = colors_as_i32(colors);
+
+        let neighbors = as_i32(g.neighbors(v));
+        let mut off = 0;
+        while off < neighbors.len() {
+            let chunk = &neighbors[off..];
+            let (nbrs, mask) = s.load_tail_i32(chunk);
+            // Self-loops never forbid a color.
+            let mask = mask.and(s.cmpneq_i32(nbrs, self_v));
+            // SAFETY: neighbor ids are < |V| = colors.len() (CSR invariant).
+            let cols = unsafe { s.gather_i32(colors_view, nbrs, mask, s.splat_i32(0)) };
+            // SAFETY: colors are < max_degree + 2 <= forbidden.len().
+            unsafe { s.scatter_i32(&mut ws.forbidden, cols, stamp_v, mask) };
+            off += LANES;
+        }
+
+        // Vectorized first-free-color scan starting at color 1.
+        let mut base = 1usize;
+        loop {
+            let window = s.load_i32(&ws.forbidden[base..]);
+            let taken = s.cmpeq_i32(window, stamp_v);
+            if let Some(lane) = taken.not().first_set() {
+                return (base + lane) as u32;
+            }
+            base += LANES;
+            debug_assert!(
+                base + LANES <= ws.forbidden.len(),
+                "free-color scan overran FORBIDDEN; degree bound violated"
+            );
+        }
+    })
 }
 
 /// One-vertex-per-lane `AssignColors` for a run of up to 16 low-degree
@@ -121,61 +123,63 @@ fn assign_one_onpl<S: Simd>(
 /// stores the exact smallest free color the sequential per-vertex kernel
 /// would have produced.
 fn assign_batch_low<S: Simd>(s: &S, g: &Csr, colors: &[AtomicU32], ids: &[u32]) {
-    let view = colors_as_i32(colors);
-    let adj = as_i32(g.adj());
-    let xadj = g.xadj();
-    let lanes = Mask16::first(ids.len());
+    s.vectorize(|| {
+        let view = colors_as_i32(colors);
+        let adj = as_i32(g.adj());
+        let xadj = g.xadj();
+        let lanes = Mask16::first(ids.len());
 
-    let mut vid_a = [0i32; LANES];
-    let mut row_a = [0i32; LANES];
-    let mut deg_a = [0i32; LANES];
-    let mut max_deg = 0usize;
-    for (l, &v) in ids.iter().enumerate() {
-        vid_a[l] = v as i32;
-        row_a[l] = xadj[v as usize] as i32;
-        let d = g.degree(v);
-        deg_a[l] = d as i32;
-        max_deg = max_deg.max(d);
-    }
-    let vids = s.from_array_i32(vid_a);
-    let rows = s.from_array_i32(row_a);
-    let degs = s.from_array_i32(deg_a);
+        let mut vid_a = [0i32; LANES];
+        let mut row_a = [0i32; LANES];
+        let mut deg_a = [0i32; LANES];
+        let mut max_deg = 0usize;
+        for (l, &v) in ids.iter().enumerate() {
+            vid_a[l] = v as i32;
+            row_a[l] = xadj[v as usize] as i32;
+            let d = g.degree(v);
+            deg_a[l] = d as i32;
+            max_deg = max_deg.max(d);
+        }
+        let vids = s.from_array_i32(vid_a);
+        let rows = s.from_array_i32(row_a);
+        let degs = s.from_array_i32(deg_a);
 
-    let mut forb = s.splat_i32(0);
-    for j in 0..max_deg {
-        let idx = s.add_i32(rows, s.splat_i32(j as i32));
-        let m = s.cmplt_i32(s.splat_i32(j as i32), degs).and(lanes);
-        // SAFETY: selected lanes have j < degree, so row + j stays inside
-        // the lane's CSR row.
-        let nbr = unsafe { s.gather_i32(adj, idx, m, s.splat_i32(0)) };
-        let mm = m.and(s.cmpneq_i32(nbr, vids)); // self-loops never forbid
-        // SAFETY: gathered neighbor ids are < |V| = colors.len().
-        let cols = unsafe { s.gather_i32(view, nbr, mm, s.splat_i32(0)) };
-        let clamped = s.blend_i32(s.cmplt_i32(cols, s.splat_i32(31)), s.splat_i32(31), cols);
-        let bits = s.sllv_i32(s.splat_i32(1), clamped);
-        forb = s.or_i32(forb, s.blend_i32(mm, s.splat_i32(0), bits));
-    }
-    let forb = s.to_array_i32(forb);
+        let mut forb = s.splat_i32(0);
+        for j in 0..max_deg {
+            let idx = s.add_i32(rows, s.splat_i32(j as i32));
+            let m = s.cmplt_i32(s.splat_i32(j as i32), degs).and(lanes);
+            // SAFETY: selected lanes have j < degree, so row + j stays inside
+            // the lane's CSR row.
+            let nbr = unsafe { s.gather_i32(adj, idx, m, s.splat_i32(0)) };
+            let mm = m.and(s.cmpneq_i32(nbr, vids)); // self-loops never forbid
+            // SAFETY: gathered neighbor ids are < |V| = colors.len().
+            let cols = unsafe { s.gather_i32(view, nbr, mm, s.splat_i32(0)) };
+            let clamped = s.blend_i32(s.cmplt_i32(cols, s.splat_i32(31)), s.splat_i32(31), cols);
+            let bits = s.sllv_i32(s.splat_i32(1), clamped);
+            forb = s.or_i32(forb, s.blend_i32(mm, s.splat_i32(0), bits));
+        }
+        let forb = s.to_array_i32(forb);
 
-    // Cheap membership filter for the staleness scan: a neighbor can only
-    // be an earlier lane if its hash bit is set, so the exact (and rare)
-    // `contains` walk runs only on filter hits instead of per neighbor.
-    let mut bloom = 0u64;
-    for &v in ids {
-        bloom |= 1 << (v & 63);
-    }
-    for (l, &v) in ids.iter().enumerate() {
-        let stale = l > 0
-            && g.neighbors(v)
-                .iter()
-                .any(|u| bloom & (1 << (u & 63)) != 0 && ids[..l].contains(u));
-        let c = if stale {
-            assign_one_low(g, colors, v)
-        } else {
-            (!(forb[l] as u32 | 1)).trailing_zeros()
-        };
-        colors[v as usize].store(c, Ordering::Relaxed);
-    }
+        // Cheap membership filter for the staleness scan: a neighbor can only
+        // be an earlier lane if its hash bit is set, so the exact (and rare)
+        // `contains` walk runs only on filter hits instead of per neighbor.
+        let mut bloom = 0u64;
+        for &v in ids {
+            bloom |= 1 << (v & 63);
+        }
+        for (l, &v) in ids.iter().enumerate() {
+            let stale = l > 0
+                && g.neighbors(v)
+                    .iter()
+                    .any(|u| bloom & (1 << (u & 63)) != 0 && ids[..l].contains(u));
+            let c = if stale {
+                assign_one_low(g, colors, v)
+            } else {
+                (!(forb[l] as u32 | 1)).trailing_zeros()
+            };
+            colors[v as usize].store(c, Ordering::Relaxed);
+        }
+    })
 }
 
 /// ONPL `AssignColors` over a conflict set, routed through the locality
@@ -235,26 +239,28 @@ pub fn detect_conflicts_onpl<S: Simd + Sync>(
 ) -> Vec<u32> {
     let view = colors_as_i32(colors);
     let find = |&v: &u32| -> Option<u32> {
-        let cv = colors[v as usize].load(Ordering::Relaxed) as i32;
-        let cv_v = s.splat_i32(cv);
-        let self_v = s.splat_i32(v as i32);
-        let neighbors = as_i32(g.neighbors(v));
-        let mut off = 0;
-        while off < neighbors.len() {
-            let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
-            // u < v (the paper's tie-break) — self-loops excluded implicitly.
-            let lower = s.cmplt_i32(nbrs, self_v).and(mask);
-            if !lower.is_empty() {
-                // SAFETY: neighbor ids < |V| = colors.len().
-                let cols = unsafe { s.gather_i32(view, nbrs, lower, s.splat_i32(-1)) };
-                let clash = s.cmpeq_i32(cols, cv_v).and(lower);
-                if !clash.is_empty() {
-                    return Some(v);
+        s.vectorize(|| {
+            let cv = colors[v as usize].load(Ordering::Relaxed) as i32;
+            let cv_v = s.splat_i32(cv);
+            let self_v = s.splat_i32(v as i32);
+            let neighbors = as_i32(g.neighbors(v));
+            let mut off = 0;
+            while off < neighbors.len() {
+                let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
+                // u < v (the paper's tie-break) — self-loops excluded implicitly.
+                let lower = s.cmplt_i32(nbrs, self_v).and(mask);
+                if !lower.is_empty() {
+                    // SAFETY: neighbor ids < |V| = colors.len().
+                    let cols = unsafe { s.gather_i32(view, nbrs, lower, s.splat_i32(-1)) };
+                    let clash = s.cmpeq_i32(cols, cv_v).and(lower);
+                    if !clash.is_empty() {
+                        return Some(v);
+                    }
                 }
+                off += LANES;
             }
-            off += LANES;
-        }
-        None
+            None
+        })
     };
     let mut newconf: Vec<u32> = if config.parallel {
         use rayon::prelude::*;

@@ -38,52 +38,54 @@ fn best_label_onlp<S: Simd>(
     u: u32,
     buf: &mut AffinityBuf,
 ) -> Option<u32> {
-    let neighbors = as_i32(g.neighbors(u));
-    let weights = g.weights_of(u);
-    let view = labels_view(labels);
+    s.vectorize(|| {
+        let neighbors = as_i32(g.neighbors(u));
+        let weights = g.weights_of(u);
+        let view = labels_view(labels);
 
-    // Label-weight accumulation: gather labels, reduce-scatter weights.
-    accumulate(
-        s,
-        neighbors,
-        weights,
-        u,
-        view,
-        Strategy::ConflictDetect,
-        buf,
-    );
-    if buf.touched.is_empty() {
-        return None;
-    }
+        // Label-weight accumulation: gather labels, reduce-scatter weights.
+        accumulate(
+            s,
+            neighbors,
+            weights,
+            u,
+            view,
+            Strategy::ConflictDetect,
+            buf,
+        );
+        if buf.touched.is_empty() {
+            return None;
+        }
 
-    // Vectorized max-scan: the heaviest touched label.
-    let current = labels[u as usize].load(Ordering::Relaxed);
-    let mut best_w_v = s.splat_f32(0.0);
-    let mut best_l_v = s.splat_i32(current as i32);
-    let touched = as_i32(&buf.touched);
-    let mut off = 0;
-    while off < touched.len() {
-        let (ls, mask) = s.load_tail_i32(&touched[off..]);
-        // SAFETY: touched labels < n.
-        let ws = unsafe { s.gather_f32(&buf.aff, ls, mask, s.splat_f32(0.0)) };
-        let better = s.cmpgt_f32(ws, best_w_v).and(mask);
-        best_w_v = s.blend_f32(better, best_w_v, ws);
-        best_l_v = s.blend_i32(better, best_l_v, ls);
-        off += LANES;
-    }
-    let best_w = s.reduce_max_f32(best_w_v);
-    // Prefer the current label on ties (same rule as MPLP).
-    let best = if best_w <= buf.aff[current as usize] {
-        current
-    } else {
-        let lane = s
-            .cmpeq_f32(best_w_v, s.splat_f32(best_w))
-            .first_set()
-            .expect("max lane must exist");
-        s.extract_i32(best_l_v, lane) as u32
-    };
-    buf.reset();
-    Some(best)
+        // Vectorized max-scan: the heaviest touched label.
+        let current = labels[u as usize].load(Ordering::Relaxed);
+        let mut best_w_v = s.splat_f32(0.0);
+        let mut best_l_v = s.splat_i32(current as i32);
+        let touched = as_i32(&buf.touched);
+        let mut off = 0;
+        while off < touched.len() {
+            let (ls, mask) = s.load_tail_i32(&touched[off..]);
+            // SAFETY: touched labels < n.
+            let ws = unsafe { s.gather_f32(&buf.aff, ls, mask, s.splat_f32(0.0)) };
+            let better = s.cmpgt_f32(ws, best_w_v).and(mask);
+            best_w_v = s.blend_f32(better, best_w_v, ws);
+            best_l_v = s.blend_i32(better, best_l_v, ls);
+            off += LANES;
+        }
+        let best_w = s.reduce_max_f32(best_w_v);
+        // Prefer the current label on ties (same rule as MPLP).
+        let best = if best_w <= buf.aff[current as usize] {
+            current
+        } else {
+            let lane = s
+                .cmpeq_f32(best_w_v, s.splat_f32(best_w))
+                .first_set()
+                .expect("max lane must exist");
+            s.extract_i32(best_l_v, lane) as u32
+        };
+        buf.reset();
+        Some(best)
+    })
 }
 
 /// Batched heaviest-label proposal for up to 16 vertices of degree ≤ 16,
@@ -111,76 +113,78 @@ fn propose16_onlp<S: Simd>(
     ids: &[u32],
     out: &mut [u32; 16],
 ) -> u16 {
-    let view = labels_view(labels);
-    let adj = as_i32(g.adj());
-    let wgt = g.weights();
-    let xadj = g.xadj();
-    let lanes = Mask16::first(ids.len());
+    s.vectorize(|| {
+        let view = labels_view(labels);
+        let adj = as_i32(g.adj());
+        let wgt = g.weights();
+        let xadj = g.xadj();
+        let lanes = Mask16::first(ids.len());
 
-    let mut vid_a = [0i32; LANES];
-    let mut row_a = [0i32; LANES];
-    let mut deg_a = [0i32; LANES];
-    let mut max_deg = 0usize;
-    for (l, &v) in ids.iter().enumerate() {
-        vid_a[l] = v as i32;
-        row_a[l] = xadj[v as usize] as i32;
-        let d = g.degree(v);
-        deg_a[l] = d as i32;
-        max_deg = max_deg.max(d);
-    }
-    let vids = s.from_array_i32(vid_a);
-    let rows = s.from_array_i32(row_a);
-    let degs = s.from_array_i32(deg_a);
-
-    // Transposed neighborhood snapshot: slot j = neighbor j of every lane.
-    let mut labs = [s.splat_i32(-1); LANES];
-    let mut wts = [s.splat_f32(0.0); LANES];
-    let mut ms = [Mask16::NONE; LANES];
-    let mut valid = Mask16::NONE;
-    for j in 0..max_deg {
-        let idx = s.add_i32(rows, s.splat_i32(j as i32));
-        let m = s.cmplt_i32(s.splat_i32(j as i32), degs).and(lanes);
-        // SAFETY: selected lanes have j < degree, so row + j indexes the
-        // lane's CSR row (and the weight array, which is adj-aligned).
-        let nbr = unsafe { s.gather_i32(adj, idx, m, s.splat_i32(0)) };
-        let mm = m.and(s.cmpneq_i32(nbr, vids)); // self-loops contribute nothing
-        // SAFETY: gathered neighbor ids are < |V| by the CSR invariant.
-        labs[j] = unsafe { s.gather_i32(view, nbr, mm, s.splat_i32(-1)) };
-        wts[j] = unsafe { s.gather_f32(wgt, idx, mm, s.splat_f32(0.0)) };
-        ms[j] = mm;
-        valid = valid.or(mm);
-    }
-
-    // SAFETY: the batch's own vertex ids are < |V|.
-    let labcur = unsafe { s.gather_i32(view, vids, lanes, s.splat_i32(0)) };
-    // aff[current]: fold matching weights in ascending neighbor order.
-    let mut curw = s.splat_f32(0.0);
-    for j2 in 0..max_deg {
-        let same = s.cmpeq_i32(labs[j2], labcur).and(ms[j2]);
-        curw = s.mask_add_f32(curw, same, curw, wts[j2]);
-    }
-    // Best-label scan: slot j1's label scores the same ascending fold;
-    // strictly-greater keeps the earliest max slot, duplicates of a label
-    // recompute the identical sum and never displace it.
-    let mut bestw = s.splat_f32(0.0);
-    let mut bestl = labcur;
-    for j1 in 0..max_deg {
-        let mut wsum = s.splat_f32(0.0);
-        for j2 in 0..max_deg {
-            let same = s.cmpeq_i32(labs[j2], labs[j1]).and(ms[j2]);
-            wsum = s.mask_add_f32(wsum, same, wsum, wts[j2]);
+        let mut vid_a = [0i32; LANES];
+        let mut row_a = [0i32; LANES];
+        let mut deg_a = [0i32; LANES];
+        let mut max_deg = 0usize;
+        for (l, &v) in ids.iter().enumerate() {
+            vid_a[l] = v as i32;
+            row_a[l] = xadj[v as usize] as i32;
+            let d = g.degree(v);
+            deg_a[l] = d as i32;
+            max_deg = max_deg.max(d);
         }
-        let better = s.cmpgt_f32(wsum, bestw).and(ms[j1]);
-        bestw = s.blend_f32(better, bestw, wsum);
-        bestl = s.blend_i32(better, bestl, labs[j1]);
-    }
-    // Stay rule: keep the current label unless the best strictly beats it.
-    let change = s.cmpgt_f32(bestw, curw);
-    let proposed = s.to_array_i32(s.blend_i32(change, labcur, bestl));
-    for (l, slot) in out.iter_mut().enumerate().take(ids.len()) {
-        *slot = proposed[l] as u32;
-    }
-    valid.0
+        let vids = s.from_array_i32(vid_a);
+        let rows = s.from_array_i32(row_a);
+        let degs = s.from_array_i32(deg_a);
+
+        // Transposed neighborhood snapshot: slot j = neighbor j of every lane.
+        let mut labs = [s.splat_i32(-1); LANES];
+        let mut wts = [s.splat_f32(0.0); LANES];
+        let mut ms = [Mask16::NONE; LANES];
+        let mut valid = Mask16::NONE;
+        for j in 0..max_deg {
+            let idx = s.add_i32(rows, s.splat_i32(j as i32));
+            let m = s.cmplt_i32(s.splat_i32(j as i32), degs).and(lanes);
+            // SAFETY: selected lanes have j < degree, so row + j indexes the
+            // lane's CSR row (and the weight array, which is adj-aligned).
+            let nbr = unsafe { s.gather_i32(adj, idx, m, s.splat_i32(0)) };
+            let mm = m.and(s.cmpneq_i32(nbr, vids)); // self-loops contribute nothing
+            // SAFETY: gathered neighbor ids are < |V| by the CSR invariant.
+            labs[j] = unsafe { s.gather_i32(view, nbr, mm, s.splat_i32(-1)) };
+            wts[j] = unsafe { s.gather_f32(wgt, idx, mm, s.splat_f32(0.0)) };
+            ms[j] = mm;
+            valid = valid.or(mm);
+        }
+
+        // SAFETY: the batch's own vertex ids are < |V|.
+        let labcur = unsafe { s.gather_i32(view, vids, lanes, s.splat_i32(0)) };
+        // aff[current]: fold matching weights in ascending neighbor order.
+        let mut curw = s.splat_f32(0.0);
+        for j2 in 0..max_deg {
+            let same = s.cmpeq_i32(labs[j2], labcur).and(ms[j2]);
+            curw = s.mask_add_f32(curw, same, curw, wts[j2]);
+        }
+        // Best-label scan: slot j1's label scores the same ascending fold;
+        // strictly-greater keeps the earliest max slot, duplicates of a label
+        // recompute the identical sum and never displace it.
+        let mut bestw = s.splat_f32(0.0);
+        let mut bestl = labcur;
+        for j1 in 0..max_deg {
+            let mut wsum = s.splat_f32(0.0);
+            for j2 in 0..max_deg {
+                let same = s.cmpeq_i32(labs[j2], labs[j1]).and(ms[j2]);
+                wsum = s.mask_add_f32(wsum, same, wsum, wts[j2]);
+            }
+            let better = s.cmpgt_f32(wsum, bestw).and(ms[j1]);
+            bestw = s.blend_f32(better, bestw, wsum);
+            bestl = s.blend_i32(better, bestl, labs[j1]);
+        }
+        // Stay rule: keep the current label unless the best strictly beats it.
+        let change = s.cmpgt_f32(bestw, curw);
+        let proposed = s.to_array_i32(s.blend_i32(change, labcur, bestl));
+        for (l, slot) in out.iter_mut().enumerate().take(ids.len()) {
+            *slot = proposed[l] as u32;
+        }
+        valid.0
+    })
 }
 
 /// Runs ONLP label propagation. Test-only convenience: external callers

@@ -43,7 +43,7 @@ fn volume_view(vol: &[AtomicF32]) -> &[f32] {
 /// Vectorized Δmod argmax over the touched communities. Returns
 /// `(best_community, best_delta)`; `best_delta <= 0` means "stay".
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's data flow
-#[inline]
+#[inline(always)]
 fn select_best<S: Simd>(
     s: &S,
     state: &MoveState,
@@ -143,24 +143,26 @@ pub(crate) fn best_move_onpl<S: Simd>(
     inv_m: f32,
     inv_2m2: f32,
 ) -> Option<(u32, u32)> {
-    if g.degree(u) == 0 {
-        return None;
-    }
-    let zeta = zeta_view(&state.zeta);
-    let volumes = volume_view(&state.volume);
-    accumulate(
-        s,
-        as_i32(g.neighbors(u)),
-        g.weights_of(u),
-        u,
-        zeta,
-        strategy,
-        buf,
-    );
-    let c = state.community(u);
-    let (best, delta) = select_best(s, state, volumes, u, c, buf, inv_m, inv_2m2);
-    buf.reset();
-    (best != c && delta > 0.0).then_some((c, best))
+    s.vectorize(|| {
+        if g.degree(u) == 0 {
+            return None;
+        }
+        let zeta = zeta_view(&state.zeta);
+        let volumes = volume_view(&state.volume);
+        accumulate(
+            s,
+            as_i32(g.neighbors(u)),
+            g.weights_of(u),
+            u,
+            zeta,
+            strategy,
+            buf,
+        );
+        let c = state.community(u);
+        let (best, delta) = select_best(s, state, volumes, u, c, buf, inv_m, inv_2m2);
+        buf.reset();
+        (best != c && delta > 0.0).then_some((c, best))
+    })
 }
 
 /// One full move phase with the ONPL kernel.

@@ -75,108 +75,110 @@ fn process_block<S: Simd>(
     inv_m: f32,
     inv_2m2: f32,
 ) -> u64 {
-    if block.is_empty() || block.max_deg == 0 {
-        return 0;
-    }
-    let zeta = zeta_view(&state.zeta);
-    let vids_v = s.from_array_i32(block.vertices);
-    let valid: Mask16 = s.cmpneq_i32(vids_v, s.splat_i32(SENTINEL));
-    let sentinel_v = s.splat_i32(SENTINEL);
-    let lane_iota = s.from_array_i32(std::array::from_fn(|i| i as i32));
+    s.vectorize(|| {
+        if block.is_empty() || block.max_deg == 0 {
+            return 0;
+        }
+        let zeta = zeta_view(&state.zeta);
+        let vids_v = s.from_array_i32(block.vertices);
+        let valid: Mask16 = s.cmpneq_i32(vids_v, s.splat_i32(SENTINEL));
+        let sentinel_v = s.splat_i32(SENTINEL);
+        let lane_iota = s.from_array_i32(std::array::from_fn(|i| i as i32));
 
-    for i in 0..block.max_deg as usize {
-        let slot = block.offset + i * LANES;
-        let nbrs = s.load_i32(&layout.nbrs[slot..]);
-        // Existence checks only past min_deg (the paper's saving); self-loop
-        // lanes are always excluded from affinity.
-        let mut mask = if i < block.min_deg as usize {
-            valid
-        } else {
-            valid.and(s.cmpneq_i32(nbrs, sentinel_v))
-        };
-        mask = mask.and(s.cmpneq_i32(nbrs, vids_v));
-        if mask.is_empty() {
-            continue;
-        }
-        let wts = s.load_f32(&layout.wts[slot..]);
-        // SAFETY: neighbor ids < |V| (CSR invariant carried into the layout).
-        let zs = unsafe { s.gather_i32(zeta, nbrs, mask, s.splat_i32(0)) };
-        // Interleaved index: community * 16 + lane — per-lane disjoint, so a
-        // plain gather/add/scatter is exact.
-        let idx = s.or_i32(s.shl_i32::<4>(zs), lane_iota);
-        // SAFETY: idx < 16 * n = buf.aff.len().
-        let zero_f = s.splat_f32(0.0);
-        let cur = unsafe { s.gather_f32(&buf.aff, idx, mask, zero_f) };
-        // First touch per lane: the gathered accumulator is still zero —
-        // keeps the per-lane touched lists duplicate-free for free.
-        let fresh = s.cmpeq_f32(cur, zero_f).and(mask);
-        let upd = s.mask_add_f32(cur, mask, cur, wts);
-        unsafe { s.scatter_f32(&mut buf.aff, idx, upd, mask) };
-
-        let z_arr = s.to_array_i32(zs);
-        for lane in fresh.iter_set() {
-            buf.touched[lane].push(z_arr[lane] as u32);
-        }
-    }
-
-    // Per-lane selection and application ("done without particular
-    // optimization using a natural way of performing this task").
-    let mut moves = 0u64;
-    for (lane, u) in block.iter_real() {
-        if !fr.is_active(u) {
-            continue;
-        }
-        let touched = &buf.touched[lane];
-        if touched.is_empty() {
-            continue;
-        }
-        let c = state.community(u);
-        let vol_u = state.vertex_volume[u as usize];
-        let vol_c_without_u = state.volume[c as usize].load() - vol_u;
-        let aff_c = buf.aff[c as usize * LANES + lane];
-        let mut best_delta = 0.0f32;
-        let mut best = c;
-        for &d in touched {
-            if d == c {
+        for i in 0..block.max_deg as usize {
+            let slot = block.offset + i * LANES;
+            let nbrs = s.load_i32(&layout.nbrs[slot..]);
+            // Existence checks only past min_deg (the paper's saving); self-loop
+            // lanes are always excluded from affinity.
+            let mut mask = if i < block.min_deg as usize {
+                valid
+            } else {
+                valid.and(s.cmpneq_i32(nbrs, sentinel_v))
+            };
+            mask = mask.and(s.cmpneq_i32(nbrs, vids_v));
+            if mask.is_empty() {
                 continue;
             }
-            let delta = delta_mod(
-                aff_c,
-                buf.aff[d as usize * LANES + lane],
-                vol_c_without_u,
-                state.volume[d as usize].load(),
-                vol_u,
-                inv_m,
-                inv_2m2,
-            );
-            if delta > best_delta {
-                best_delta = delta;
-                best = d;
+            let wts = s.load_f32(&layout.wts[slot..]);
+            // SAFETY: neighbor ids < |V| (CSR invariant carried into the layout).
+            let zs = unsafe { s.gather_i32(zeta, nbrs, mask, s.splat_i32(0)) };
+            // Interleaved index: community * 16 + lane — per-lane disjoint, so a
+            // plain gather/add/scatter is exact.
+            let idx = s.or_i32(s.shl_i32::<4>(zs), lane_iota);
+            // SAFETY: idx < 16 * n = buf.aff.len().
+            let zero_f = s.splat_f32(0.0);
+            let cur = unsafe { s.gather_f32(&buf.aff, idx, mask, zero_f) };
+            // First touch per lane: the gathered accumulator is still zero —
+            // keeps the per-lane touched lists duplicate-free for free.
+            let fresh = s.cmpeq_f32(cur, zero_f).and(mask);
+            let upd = s.mask_add_f32(cur, mask, cur, wts);
+            unsafe { s.scatter_f32(&mut buf.aff, idx, upd, mask) };
+
+            let z_arr = s.to_array_i32(zs);
+            for lane in fresh.iter_set() {
+                buf.touched[lane].push(z_arr[lane] as u32);
             }
         }
-        if best != c && best_delta > 0.0 {
-            state.apply_move(u, c, best);
-            moves += 1;
-            // Wake the neighbors: walk this lane's interleaved slots (the
-            // layout is the only adjacency OVPL has at hand).
-            for i in 0..block.max_deg as usize {
-                let v = layout.nbrs[block.offset + i * LANES + lane];
-                if v != SENTINEL {
-                    fr.activate(v as u32);
+
+        // Per-lane selection and application ("done without particular
+        // optimization using a natural way of performing this task").
+        let mut moves = 0u64;
+        for (lane, u) in block.iter_real() {
+            if !fr.is_active(u) {
+                continue;
+            }
+            let touched = &buf.touched[lane];
+            if touched.is_empty() {
+                continue;
+            }
+            let c = state.community(u);
+            let vol_u = state.vertex_volume[u as usize];
+            let vol_c_without_u = state.volume[c as usize].load() - vol_u;
+            let aff_c = buf.aff[c as usize * LANES + lane];
+            let mut best_delta = 0.0f32;
+            let mut best = c;
+            for &d in touched {
+                if d == c {
+                    continue;
+                }
+                let delta = delta_mod(
+                    aff_c,
+                    buf.aff[d as usize * LANES + lane],
+                    vol_c_without_u,
+                    state.volume[d as usize].load(),
+                    vol_u,
+                    inv_m,
+                    inv_2m2,
+                );
+                if delta > best_delta {
+                    best_delta = delta;
+                    best = d;
                 }
             }
+            if best != c && best_delta > 0.0 {
+                state.apply_move(u, c, best);
+                moves += 1;
+                // Wake the neighbors: walk this lane's interleaved slots (the
+                // layout is the only adjacency OVPL has at hand).
+                for i in 0..block.max_deg as usize {
+                    let v = layout.nbrs[block.offset + i * LANES + lane];
+                    if v != SENTINEL {
+                        fr.activate(v as u32);
+                    }
+                }
+            }
+            if S::IS_COUNTED {
+                // The per-lane selection is deliberately scalar (the paper's
+                // "natural way"); charge ~4 scalar ops per candidate community.
+                use gp_simd::counters::{record, OpClass};
+                let k = touched.len() as u64;
+                record(OpClass::ScalarRandLoad, 2 * k); // affinity + volume
+                record(OpClass::ScalarAlu, 2 * k);
+            }
         }
-        if S::IS_COUNTED {
-            // The per-lane selection is deliberately scalar (the paper's
-            // "natural way"); charge ~4 scalar ops per candidate community.
-            use gp_simd::counters::{record, OpClass};
-            let k = touched.len() as u64;
-            record(OpClass::ScalarRandLoad, 2 * k); // affinity + volume
-            record(OpClass::ScalarAlu, 2 * k);
-        }
-    }
-    buf.reset();
-    moves
+        buf.reset();
+        moves
+    })
 }
 
 /// One full move phase over the preprocessed layout.

@@ -78,15 +78,17 @@ impl NeighborhoodAggregator {
             self.capacity
         );
         self.buf.reset();
-        accumulate(
-            s,
-            as_i32(g.neighbors(u)),
-            g.weights_of(u),
-            u,
-            as_i32(groups),
-            self.strategy,
-            &mut self.buf,
-        );
+        s.vectorize(|| {
+            accumulate(
+                s,
+                as_i32(g.neighbors(u)),
+                g.weights_of(u),
+                u,
+                as_i32(groups),
+                self.strategy,
+                &mut self.buf,
+            )
+        });
         self.buf
             .touched
             .iter()

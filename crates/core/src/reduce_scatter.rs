@@ -84,7 +84,10 @@ impl Strategy {
 /// Every selected lane's index must satisfy `0 <= idx[lane] < acc.len()`.
 /// (The scalar remainder paths are bounds-checked; the vector paths inherit
 /// the gather/scatter contract.)
-#[inline]
+///
+/// On the AVX-512 backend, call it inside [`Simd::vectorize`] (it is
+/// `#[inline(always)]` so that it compiles into the caller's frame).
+#[inline(always)]
 pub unsafe fn reduce_scatter<S: Simd>(
     s: &S,
     strategy: Strategy,
@@ -106,6 +109,7 @@ pub unsafe fn reduce_scatter<S: Simd>(
 /// selected lanes are duplicate-free, proceed with the conflict-detection
 /// round, otherwise fall back to the in-vector reduction (the lanes have
 /// mostly collapsed onto one group).
+#[inline(always)]
 unsafe fn adaptive<S: Simd>(s: &S, acc: &mut [f32], idx: S::I32, val: S::F32, mask: Mask16) {
     if mask.is_empty() {
         return;
@@ -130,47 +134,44 @@ unsafe fn adaptive<S: Simd>(s: &S, acc: &mut [f32], idx: S::I32, val: S::F32, ma
 /// `iterative = true` loops vector rounds. In the iterative case, a lane
 /// becomes safe once all its earlier duplicates have been processed: its
 /// conflict bits, restricted to still-pending lanes, are empty.
+#[inline(always)]
 unsafe fn conflict_detect<S: Simd>(
     s: &S,
     acc: &mut [f32],
     idx: S::I32,
     val: S::F32,
-    mask: Mask16,
+    mut mask: Mask16,
     iterative: bool,
 ) {
-    if mask.is_empty() {
-        return;
-    }
-    let conflicts = s.conflict_i32(idx);
-    // Mask M: selected lanes with no earlier-lane duplicate among the
-    // *selected* lanes. (conflict bits of unselected lanes are irrelevant —
-    // and-mask them out.)
-    let pending_bits = s.splat_i32(mask.0 as i32);
-    let masked_conflicts = s.and_i32(conflicts, pending_bits);
-    let free = conflict_free_mask(s, masked_conflicts).and(mask);
+    // In the iterative case, lanes processed so far can no longer
+    // conflict, so each round runs on the remainder. Each round clears at
+    // least one lane (the lowest remaining duplicate becomes free), so this
+    // terminates in <= 16 rounds.
+    while !mask.is_empty() {
+        let conflicts = s.conflict_i32(idx);
+        // Mask M: selected lanes with no earlier-lane duplicate among the
+        // *selected* lanes. (conflict bits of unselected lanes are
+        // irrelevant — and-mask them out.)
+        let pending_bits = s.splat_i32(mask.0 as i32);
+        let masked_conflicts = s.and_i32(conflicts, pending_bits);
+        let free = conflict_free_mask(s, masked_conflicts).and(mask);
 
-    // Vector round on the conflict-free set: gather, add, scatter.
-    let cur = unsafe { s.gather_f32(acc, idx, free, s.splat_f32(0.0)) };
-    let updated = s.add_f32(cur, val);
-    unsafe { s.scatter_f32(acc, idx, updated, free) };
+        // Vector round on the conflict-free set: gather, add, scatter.
+        let cur = unsafe { s.gather_f32(acc, idx, free, s.splat_f32(0.0)) };
+        let updated = s.add_f32(cur, val);
+        unsafe { s.scatter_f32(acc, idx, updated, free) };
 
-    let remaining = mask.and_not(free);
-    if remaining.is_empty() {
-        return;
-    }
-    if iterative {
-        // Lanes processed so far can no longer conflict; recurse on the
-        // remainder. Each round clears at least one lane (the lowest
-        // remaining duplicate becomes free), so this terminates in <= 16
-        // rounds.
-        unsafe { conflict_detect(s, acc, idx, val, remaining, true) };
-    } else {
-        scalar_remainder(s, acc, idx, val, remaining);
+        mask = mask.and_not(free);
+        if !iterative {
+            scalar_remainder(s, acc, idx, val, mask);
+            return;
+        }
     }
 }
 
 /// In-vector-reduction formulation (Figure 2): reduce all lanes equal to the
 /// first pending index with one masked reduce-add, then finish scalar.
+#[inline(always)]
 unsafe fn in_vector_reduce<S: Simd>(
     s: &S,
     acc: &mut [f32],
@@ -190,6 +191,7 @@ unsafe fn in_vector_reduce<S: Simd>(
 }
 
 /// Scalar remainder: bounds-checked lane-by-lane accumulation.
+#[inline(always)]
 fn scalar_remainder<S: Simd>(s: &S, acc: &mut [f32], idx: S::I32, val: S::F32, mask: Mask16) {
     if mask.is_empty() {
         return;

@@ -19,7 +19,7 @@ use gp_simd::vector::{Mask16, LANES};
 /// Duplicate-free touched tracking: on the vector path, a *first touch* is
 /// a conflict-free lane whose gathered old affinity is still zero; on the
 /// scalar paths, the MPLM-style `aff == 0` check.
-#[inline]
+#[inline(always)]
 pub(crate) fn accumulate<S: Simd>(
     s: &S,
     neighbors: &[i32],
@@ -102,7 +102,7 @@ pub(crate) fn accumulate<S: Simd>(
 }
 
 /// Scalar accumulation of leftover lanes with first-touch dedup.
-#[inline]
+#[inline(always)]
 fn scalar_tail<S: Simd>(
     s: &S,
     buf: &mut AffinityBuf,

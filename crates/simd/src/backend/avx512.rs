@@ -3,10 +3,16 @@
 //! Every method maps one-to-one onto the intrinsic named in the [`Simd`]
 //! trait docs. Soundness: `Avx512` can only be obtained through
 //! [`Avx512::new`], which performs runtime CPU-feature detection, so holding
-//! a value proves the instructions exist on this machine. For full
-//! performance compile with `-C target-cpu=native` (this repository's
-//! `.cargo/config.toml` does so), the analog of the paper's
-//! `icpc -xCORE-AVX512`.
+//! a value proves the instructions exist on this machine.
+//!
+//! Code generation: the build sets no global `-C target-cpu` or
+//! `RUSTFLAGS`, so ordinary code runs on any x86-64 CPU. Kernels enter
+//! AVX-512 code generation through [`Simd::vectorize`], which this backend
+//! implements as a `#[target_feature(enable = "avx512f,avx512cd")]`
+//! trampoline (the analog of the paper's `icpc -xCORE-AVX512`, scoped to
+//! the kernels); only there do the intrinsics below inline as single
+//! instructions. `scripts/check_avx512_inlined.sh` fails a binary in which
+//! any intrinsic is still called out of line.
 
 use super::Simd;
 use crate::vector::{Mask16, LANES};
@@ -40,6 +46,20 @@ mod imp {
 
         const NAME: &'static str = "avx512";
         const IS_VECTOR: bool = true;
+
+        #[inline(always)]
+        fn vectorize<T>(&self, f: impl FnOnce() -> T) -> T {
+            // Exactly the pair `Avx512::new` detects: enabling BW/DQ/VL
+            // here would let LLVM emit them on an F/CD-only CPU.
+            #[target_feature(enable = "avx512f,avx512cd")]
+            #[inline]
+            unsafe fn with_avx512<T>(f: impl FnOnce() -> T) -> T {
+                f()
+            }
+            // SAFETY: an `Avx512` value exists only after `Avx512::new`
+            // detected AVX-512F and AVX-512CD on this CPU.
+            unsafe { with_avx512(f) }
+        }
 
         #[inline(always)]
         fn splat_i32(&self, x: i32) -> Self::I32 {
@@ -313,6 +333,30 @@ mod tests {
         // The reproduction environment guarantees AVX-512F/CD; if this fails
         // the native figures fall back to the emulated backend.
         assert!(Avx512::new().is_some());
+    }
+
+    #[test]
+    fn vectorize_returns_the_closure_value() {
+        let Some(s) = Avx512::new() else { return };
+        assert_eq!(s.vectorize(|| 41 + 1), 42);
+        let base: Vec<f32> = (0..32).map(|x| x as f32).collect();
+        let mut acc = vec![0f32; 32];
+        // Vector work inside the trampoline, with a borrowed and a mutably
+        // borrowed capture, agrees with the emulated backend.
+        let native = s.vectorize(|| {
+            let idx = s.from_array_i32(std::array::from_fn(|i| (2 * i) as i32));
+            let v = unsafe { s.gather_f32(&base, idx, Mask16::ALL, s.splat_f32(0.0)) };
+            unsafe { s.scatter_f32(&mut acc, idx, s.add_f32(v, v), Mask16(0x00FF)) };
+            let dups = s.from_array_i32(std::array::from_fn(|i| (i % 5) as i32));
+            s.to_array_i32(s.conflict_i32(dups))
+        });
+        let e = crate::backend::Emulated;
+        let emu = e.conflict_i32(std::array::from_fn(|i| (i % 5) as i32));
+        assert_eq!(native, emu);
+        for (i, &x) in acc.iter().enumerate() {
+            let expect = if i % 2 == 0 && i < 16 { 2.0 * i as f32 } else { 0.0 };
+            assert_eq!(x, expect, "slot {i}");
+        }
     }
 
     #[test]

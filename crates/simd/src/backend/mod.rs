@@ -46,6 +46,27 @@ pub trait Simd: Copy + Send + Sync + 'static {
     /// remainder work during modeled runs, at zero cost in timed runs.
     const IS_COUNTED: bool = false;
 
+    // ---- code generation ---------------------------------------------------
+
+    /// Runs `f` in a frame compiled for this backend's instruction set and
+    /// returns its value. Kernels wrap each per-vertex or per-block vector
+    /// body in it: `s.vectorize(|| { ... })`.
+    ///
+    /// The AVX-512 intrinsics are `#[target_feature]` functions, and they
+    /// only inline into a caller compiled with those features. Called from
+    /// ordinary code, each one becomes an out-of-line call that spills its
+    /// operands to the stack. [`Avx512`] overrides this method to call `f`
+    /// through a `#[target_feature(enable = "avx512f,avx512cd")]`
+    /// trampoline, so the closure body, and every `#[inline(always)]`
+    /// helper it calls, is compiled with AVX-512 enabled. Helpers between
+    /// the closure and the `Simd` calls must be `#[inline(always)]`; a
+    /// helper LLVM leaves out of line is compiled without the features.
+    /// Other backends just call `f`.
+    #[inline(always)]
+    fn vectorize<T>(&self, f: impl FnOnce() -> T) -> T {
+        f()
+    }
+
     // ---- construction / inspection -------------------------------------
 
     /// Broadcast one i32 to all lanes (`vpbroadcastd`).
@@ -229,6 +250,14 @@ mod trait_tests {
         let b = s.from_array_i32([2; LANES]);
         assert_eq!(s.cmpneq_i32(a, b), Mask16::ALL);
         assert_eq!(s.cmpneq_i32(a, a), Mask16::NONE);
+    }
+
+    #[test]
+    fn vectorize_returns_the_closure_value_on_emulated() {
+        let s = Emulated;
+        assert_eq!(s.vectorize(|| 41 + 1), 42);
+        let lanes = s.vectorize(|| s.to_array_i32(s.add_i32(s.splat_i32(2), s.splat_i32(3))));
+        assert_eq!(lanes, [5; LANES]);
     }
 
     #[test]

@@ -242,17 +242,25 @@ pub fn record_scalar_edge_visits(n: u64) {
     record(OpClass::ScalarBranch, n);
 }
 
+/// Serializes this crate's tests that record into the process-wide
+/// counters, so one test's ops never land in another's counted run.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Note: counter tests mutate global state; each test resets first and
-    // `cargo test` may run them concurrently with each other but not with
-    // the model tests that use `counted_run` (those construct their own
-    // OpCounts via `with`).
+    // Counter tests mutate global state: each one that records holds
+    // `test_lock` and resets first. The model tests construct their own
+    // OpCounts via `with`.
 
     #[test]
     fn record_and_snapshot() {
+        let _guard = test_lock();
         reset();
         record(OpClass::Gather, 3);
         record(OpClass::Gather, 2);
@@ -302,6 +310,7 @@ mod tests {
 
     #[test]
     fn scalar_edge_bundle() {
+        let _guard = test_lock();
         reset();
         record_scalar_edge_visits(4);
         let s = snapshot();
